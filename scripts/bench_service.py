@@ -7,9 +7,10 @@ same (mixes x designs) campaign ``--repeat`` times through the blocking
 **submit-to-last-row** wall time: everything between ``POST
 /v1/campaigns`` leaving the client and the final status line of the
 JSONL stream arriving — HTTP framing, schema encode/decode, fair-queue
-scheduling, and the engine batch itself.  The same grid is then timed
-through plain ``api.sweep(engine="batch")`` so the record carries the
-service overhead ratio, not just an absolute number.
+scheduling, and the engine runs themselves.  The same grid is timed
+through plain ``api.sweep`` as often, interleaved with the server runs,
+so the record carries the service overhead ratio (min over min), not
+just an absolute number.  Both sides run the default engine.
 
 Correctness is asserted on every run, which makes this double as the
 ``service`` smoke gate of ``scripts/check_all.py``: streamed rows must
@@ -19,11 +20,11 @@ an immediately resubmitted campaign must dedup every cell.
 
 ``--recovery`` measures the crash-safety machinery instead (the
 ``recovery`` record): the same campaign is run once uninterrupted over
-a write-ahead journal, then again with a graceful drain forced
-mid-campaign followed by a restart that replays the journal and a
-client resume from the last received row — the record carries
-``recovery_overhead`` (interrupted / uninterrupted wall) and asserts
-the recovered rows are bit-identical.
+a write-ahead journal, then again on an identically configured server
+with a graceful drain forced mid-campaign followed by a restart that
+replays the journal and a client resume from the last received row —
+the record carries ``recovery_overhead`` (interrupted / uninterrupted
+wall) and asserts the recovered rows are bit-identical.
 
 Like ``bench_fastpath.py``: per-repeat wall times are reported as
 min/median/spread and throughput is computed from the min (least
@@ -31,7 +32,11 @@ interference; ratios of mins transfer across machines).  The committed
 ``BENCH_service.json`` is only rewritten under an explicit
 ``--update``; ``--check`` regression-gates ``rows_per_s`` against the
 committed record at equal workload (``--check-tolerance`` default 10%,
-the check_all gate passes 0.5 — sub-second smoke timings are noisy).
+the check_all gate passes 0.5 — sub-second smoke timings are noisy),
+and fails a measured ``overhead`` / ``recovery_overhead`` that lies
+below 1.0 by more than its recorded ``noise`` (the relative spreads of
+both sides, summed): the service cannot beat the work it wraps, so
+such a ratio is a benchmark bug.
 
 Exit status is non-zero iff a correctness assertion fails or
 ``--check`` found a regression.
@@ -66,6 +71,19 @@ def row_key(row):
     return (row.design, row.mix)
 
 
+def summarize(times):
+    """min / median / spread of one timed leg, rounded for the record."""
+    return {"min": round(min(times), 3),
+            "median": round(statistics.median(times), 3),
+            "spread": round(max(times) - min(times), 3)}
+
+
+def ratio(num, den):
+    """``min(num) / min(den)`` plus its noise: both relative spreads."""
+    noise = sum((max(t) - min(t)) / min(t) for t in (num, den))
+    return round(min(num) / min(den), 3), round(noise, 3)
+
+
 def run_campaigns(handle, spec, repeat):
     """Submit ``spec`` ``repeat`` times; returns (timings, last rows).
 
@@ -86,50 +104,57 @@ def run_campaigns(handle, spec, repeat):
     return times, rows
 
 
+def run_uninterrupted(spec, journal):
+    """One journaled campaign start to finish; returns (rows, state)."""
+    with serve_in_thread(port=0, workers=1, journal=journal) as handle:
+        client = ServiceClient(handle.host, handle.port)
+        rows, final = client.run(spec)
+    assert final.ok, f"campaign failed: {final.failures}"
+    return rows, final.state
+
+
+def run_interrupted(spec, journal):
+    """The same campaign cut by a drain after its first row, then
+    finished by a restarted server; returns (rows, state)."""
+    handle = serve_in_thread(port=0, workers=1, journal=journal)
+    client = ServiceClient(handle.host, handle.port)
+    status = client.submit(spec)
+    stream = client.stream(status.job_id)
+    rows = [next(stream)]                     # first row landed...
+    threading.Thread(target=handle.drain, daemon=True).start()
+    rows.extend(stream)                       # ...drain cuts the rest
+    handle.stop()
+    assert len(rows) < len(spec.cells()), "drain landed after the last cell"
+    with serve_in_thread(port=0, workers=1, journal=journal) as restarted:
+        again = ServiceClient(restarted.host, restarted.port)
+        again.submit(spec, attach=True)
+        rows.extend(again.stream(status.job_id, from_row=len(rows)))
+        final = again.last_status
+    return rows, final.state
+
+
 def time_recovery(spec, repeat):
     """Uninterrupted vs drain-restart-resume wall times for ``spec``.
 
     The interrupted path is submit -> first row -> graceful drain
-    (in-flight batch finishes, the rest stays journaled) -> server
+    (the in-flight cell finishes, the rest stays journaled) -> server
     stop -> fresh server over the same journal (replay) -> client
-    re-attach and stream resume from the last received row.  Returns
-    ``(uninterrupted, interrupted, rows, identical)``.
+    re-attach and stream resume from the last received row.  Both
+    legs run the same server configuration, and they swap order every
+    repeat so neither always runs first.  Returns ``(uninterrupted,
+    interrupted, rows, identical)``.
     """
-    un, inter, ref_rows = [], [], None
-    identical = True
-    for _ in range(repeat):
-        with tempfile.TemporaryDirectory() as td:
-            t0 = time.perf_counter()
-            with serve_in_thread(port=0, workers=1,
-                                 journal=Path(td) / "journal") as handle:
-                client = ServiceClient(handle.host, handle.port)
-                ref_rows, final = client.run(spec)
-            un.append(time.perf_counter() - t0)
-            assert final.ok, f"campaign failed: {final.failures}"
-        with tempfile.TemporaryDirectory() as td:
-            journal = Path(td) / "journal"
-            t0 = time.perf_counter()
-            handle = serve_in_thread(port=0, workers=1, batch_cells=1,
-                                     journal=journal)
-            client = ServiceClient(handle.host, handle.port)
-            status = client.submit(spec)
-            stream = client.stream(status.job_id)
-            rows = [next(stream)]             # first row landed...
-            threading.Thread(target=handle.drain, daemon=True).start()
-            rows.extend(stream)               # ...drain cuts the rest
-            handle.stop()
-            restarted = serve_in_thread(port=0, workers=1,
-                                        journal=journal)
-            with restarted:
-                again = ServiceClient(restarted.host, restarted.port)
-                again.submit(spec, attach=True)
-                rows.extend(again.stream(status.job_id,
-                                         from_row=len(rows)))
-                final = again.last_status
-            inter.append(time.perf_counter() - t0)
-            identical = identical and final.state == "done" \
-                and sorted(rows, key=row_key) == sorted(ref_rows,
-                                                        key=row_key)
+    un, inter, outcomes = [], [], []
+    legs = [(run_uninterrupted, un), (run_interrupted, inter)]
+    for i in range(repeat):
+        for leg, walls in (legs if i % 2 == 0 else legs[::-1]):
+            with tempfile.TemporaryDirectory() as td:
+                t0 = time.perf_counter()
+                rows, state = leg(spec, Path(td) / "journal")
+                walls.append(time.perf_counter() - t0)
+            outcomes.append((state, sorted(rows, key=row_key)))
+    ref_rows = outcomes[0][1]                 # the first uninterrupted run
+    identical = all(out == ("done", ref_rows) for out in outcomes)
     return un, inter, ref_rows, identical
 
 
@@ -139,6 +164,14 @@ def check_and_update(args, record_key, record, status):
         committed = None
         if args.out.exists():
             committed = json.loads(args.out.read_text()).get(record_key)
+        for name in ("overhead", "recovery_overhead"):
+            value = record.get(name)
+            if value is not None and value < 1.0 - record["noise"]:
+                print(f"bench_service --check[{record_key}]: {name} "
+                      f"x{value:.3f} is below 1.0 by more than the "
+                      f"noise ({record['noise']:.3f}); the comparison "
+                      f"is uneven", file=sys.stderr)
+                status = 1
         if committed is None:
             print("bench_service --check: no committed record; nothing "
                   "to compare")
@@ -172,8 +205,9 @@ def recovery_main(args):
     mixes, designs = ["C1", "C5"], ("hydrogen",)
     scale = 0.02 if args.scale is None else args.scale
     spec = CampaignSpec(mixes=tuple(mixes), designs=designs, scale=scale,
-                        seed=args.seed, engine="batch")
+                        seed=args.seed)
     un, inter, rows, identical = time_recovery(spec, args.repeat)
+    overhead, noise = ratio(inter, un)
     record = {
         "mixes": mixes,
         "designs": list(designs),
@@ -181,21 +215,16 @@ def recovery_main(args):
         "seed": args.seed,
         "repeat": args.repeat,
         "cells": len(rows),
-        "uninterrupted_s": {
-            "min": round(min(un), 3),
-            "median": round(statistics.median(un), 3),
-            "spread": round(max(un) - min(un), 3)},
-        "interrupted_s": {
-            "min": round(min(inter), 3),
-            "median": round(statistics.median(inter), 3),
-            "spread": round(max(inter) - min(inter), 3)},
-        "recovery_overhead": round(min(inter) / min(un), 3),
+        "uninterrupted_s": summarize(un),
+        "interrupted_s": summarize(inter),
+        "recovery_overhead": overhead,
+        "noise": noise,
         "rows_per_s": round(len(rows) / min(inter), 2),
         "identical": identical,
     }
     print(f"bench_service[recovery]: {len(rows)} cells, uninterrupted "
           f"{min(un):.2f}s, drain+restart+resume {min(inter):.2f}s "
-          f"(overhead x{record['recovery_overhead']:.2f}), "
+          f"(overhead x{overhead:.2f}, noise {noise:.2f}), "
           f"identical={identical}")
     status = 0
     if not identical:
@@ -243,21 +272,23 @@ def main(argv=None):
         scale = 0.2 if args.scale is None else args.scale
 
     spec = CampaignSpec(mixes=tuple(mixes), designs=designs, scale=scale,
-                        seed=args.seed, engine="batch")
+                        seed=args.seed)
 
     # Cold submit-to-last-row: a fresh server per repeat so no repeat
-    # rides the previous one's in-memory dedup map.
-    times, rows = [], None
+    # rides the previous one's in-memory dedup map.  Each repeat also
+    # times the same grid through the in-process facade, so both sides
+    # are best-of-N under the same interference.
+    times, direct_times, rows, direct = [], [], None, None
     for _ in range(args.repeat):
         with serve_in_thread(port=0, workers=1) as handle:
             t, rows = run_campaigns(handle, spec, repeat=1)
         times.extend(t)
+        t0 = time.perf_counter()
+        direct = api.sweep(mixes=mixes, designs=designs, scale=scale,
+                           seed=args.seed, cache=None)
+        direct_times.append(time.perf_counter() - t0)
 
     # Correctness gate 1: bit-identity with the in-process facade.
-    t0 = time.perf_counter()
-    direct = api.sweep(mixes=mixes, designs=designs, scale=scale,
-                       seed=args.seed, engine="batch", cache=None)
-    direct_s = time.perf_counter() - t0
     mismatch = sorted(rows, key=row_key) != sorted(direct.rows(),
                                                    key=row_key)
 
@@ -272,6 +303,7 @@ def main(argv=None):
     dedup_ok = final.deduped == final.total_cells
 
     best = min(times)
+    overhead, noise = ratio(times, direct_times)
     record = {
         "mixes": mixes,
         "designs": list(designs),
@@ -279,13 +311,11 @@ def main(argv=None):
         "seed": args.seed,
         "repeat": args.repeat,
         "cells": len(rows),
-        "submit_to_last_row": {
-            "min": round(best, 3),
-            "median": round(statistics.median(times), 3),
-            "spread": round(max(times) - min(times), 3)},
+        "submit_to_last_row": summarize(times),
         "rows_per_s": round(len(rows) / best, 2),
-        "direct_sweep_s": round(direct_s, 3),
-        "overhead": round(best / direct_s, 3) if direct_s else None,
+        "direct_sweep_s": summarize(direct_times),
+        "overhead": overhead,
+        "noise": noise,
         "identical": not mismatch,
         "wire_round_trip": not broken,
         "dedup_on_resubmit": dedup_ok,
@@ -293,7 +323,8 @@ def main(argv=None):
 
     print(f"bench_service[{record_key}]: {len(rows)} cells in "
           f"{best:.2f}s ({record['rows_per_s']:.1f} rows/s), direct "
-          f"sweep {direct_s:.2f}s (overhead x{record['overhead']:.2f}), "
+          f"sweep {min(direct_times):.2f}s (overhead x{overhead:.2f}, "
+          f"noise {noise:.2f}), "
           f"identical={record['identical']}, "
           f"dedup={record['dedup_on_resubmit']}")
 

@@ -34,6 +34,10 @@ PASS/FAIL/SKIP summary:
   drops a real ``repro serve --journal`` process and requires that
   recovered campaigns stream rows bit-identical to uninterrupted
   runs (docs/service.md "Operations");
+* ``perfbench`` — the benchmark harness's own tests (``perfbench/``):
+  its span wrappers must still find every function they time, so a
+  change that renames or removes one (e.g. ``repro.engine.batch``)
+  fails here rather than in a benchmark run;
 * ``ruff`` / ``mypy`` — external style and type gates, configured in
   pyproject.toml.  They are optional dependencies (the ``lint`` extra);
   when not installed the gate reports SKIP rather than failing, and the
@@ -81,6 +85,7 @@ GATES: dict[str, list[str]] = {
                 "--check", "--check-tolerance", "0.5"],
     "service-chaos": [sys.executable, "-m", "pytest", "-q",
                       "tests/test_service_chaos.py"],
+    "perfbench": [sys.executable, "-m", "pytest", "-q", "perfbench"],
     "ruff": [sys.executable, "-m", "ruff", "check",
              "src", "tests", "benchmarks", "scripts", "examples"],
     "mypy": [sys.executable, "-m", "mypy"],

@@ -530,7 +530,7 @@ def cmd_serve(args) -> int:
     return serve(host=args.host, port=args.port, workers=args.jobs,
                  cache=_resolve_cli_cache(args, default_on=False),
                  retry=args.retries, job_timeout=args.timeout,
-                 batch_cells=args.batch_cells, journal=args.journal,
+                 journal=args.journal,
                  max_queued_cells=args.max_queued_cells)
 
 
@@ -794,9 +794,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="re-run a failed cell up to N extra times")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC",
                     help="per-cell wall-clock budget in seconds")
-    sp.add_argument("--batch-cells", type=int, default=32, metavar="N",
-                    help="max cells drained from the fair queue into one "
-                         "engine batch (default 32)")
     sp.add_argument("--journal", metavar="DIR",
                     help="write-ahead job journal directory: accepted "
                          "campaigns and cell outcomes survive a crash; "
@@ -820,9 +817,9 @@ def make_parser() -> argparse.ArgumentParser:
                                       "(default: the Fig. 5 set)")
     sp.add_argument("--scale", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--engine", choices=list(ENGINES), default="batch",
+    sp.add_argument("--engine", choices=list(ENGINES), default="fast",
                     help="engine the server runs the cells on "
-                         "(default batch)")
+                         "(default fast)")
     sp.add_argument("--priority", choices=sorted(PRIORITIES),
                     default="batch",
                     help="fair-queue class (weights: docs/service.md)")

@@ -51,14 +51,15 @@ from pathlib import Path
 from repro import faults
 from repro.config import SystemConfig, default_system
 from repro.config_io import config_digest
-from repro.engine.simulator import SimResult
+from repro.engine.simulator import SimResult, simulate
 from repro.experiments.cache import SweepCache, resolve_cache
+from repro.experiments.designs import design_config, make_policy
 from repro.experiments.resilience import (JobFailure, RetryPolicy,
                                           SweepReport, failure_from,
                                           resolve_failure_policy,
                                           resolve_retry, time_limit)
-from repro.experiments.runner import (run_design, slowdown_metrics,
-                                      warn_deprecated, weighted_speedup)
+from repro.experiments.runner import (slowdown_metrics, warn_deprecated,
+                                      weighted_speedup)
 from repro.telemetry import NULL_SINK, Telemetry
 from repro.traces.mixes import (CPU_COPIES, WorkloadMix, build_mix, cpu_only,
                                 gpu_only)
@@ -172,10 +173,24 @@ class SweepJob:
     def label(self) -> str:
         return f"{self.design}@{self.mix_name}"
 
+    def setup(self) -> tuple:
+        """``(cfg, policy, mix, sim_kw)``, ready for an engine.
+
+        Both execution paths start here — :meth:`run` for one cell and
+        the lock-step batch shards — so a cell is built the same way
+        whichever engine simulates it.
+        """
+        mix = self.mix.build() if isinstance(self.mix, MixSpec) else self.mix
+        if isinstance(self.design, str):
+            policy = make_policy(self.design)
+            cfg = design_config(self.design, self.cfg, self.native_geometry)
+        else:
+            policy, cfg = self.design, self.cfg
+        return cfg, policy, mix, dict(self.sim_kw)
+
     def run(self) -> SimResult:
         from repro.telemetry import JsonlSink
-        mix = self.mix.build() if isinstance(self.mix, MixSpec) else self.mix
-        kw = dict(self.sim_kw)
+        cfg, policy, mix, kw = self.setup()
         sink = None
         if self.trace_dir:
             sink = JsonlSink(Path(self.trace_dir) / f"{self.label}.jsonl",
@@ -183,8 +198,7 @@ class SweepJob:
                                    "mix": self.mix_name})
             kw["telemetry"] = sink
         try:
-            return run_design(self.design, mix, self.cfg,
-                              native_geometry=self.native_geometry, **kw)
+            return simulate(cfg, policy, mix, **kw)
         finally:
             if sink is not None:
                 sink.close()
@@ -224,13 +238,12 @@ def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
     which advances every cell between policy boundaries in one fused
     interpreter with shared trace decodes.  Returns one outcome per job
     (a :class:`SimResult`, or the ``Exception`` that cell raised —
-    failures are isolated per cell) plus the amortized per-cell wall
-    time.  ``timeout`` is a *per-cell* budget, applied to the shard as
+    failures are isolated per cell) plus the shard's wall time.
+    ``timeout`` is a *per-cell* budget, applied to the shard as
     ``timeout * len(jobs)`` (cells run interleaved, so a per-cell wall
     clock does not exist inside a shard).
     """
     from repro.engine.batch import BatchCell, BatchSimulation
-    from repro.experiments.designs import design_config, make_policy
 
     t0 = time.perf_counter()
     budget = timeout * len(jobs) if timeout is not None else None
@@ -241,16 +254,8 @@ def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
         for k, (job, attempt) in enumerate(zip(jobs, attempts)):
             try:
                 faults.maybe_fault(job.label, attempt, timeout)
-                mix = (job.mix.build() if isinstance(job.mix, MixSpec)
-                       else job.mix)
-                kw = dict(job.sim_kw)
+                cfg, policy, mix, kw = job.setup()
                 kw.pop("engine", None)
-                if isinstance(job.design, str):
-                    policy = make_policy(job.design)
-                    cfg = design_config(job.design, job.cfg,
-                                        job.native_geometry)
-                else:
-                    policy, cfg = job.design, job.cfg
                 cells.append(BatchCell(cfg, policy, mix, **kw))
                 slots.append(k)
             except (KeyboardInterrupt, SystemExit):
@@ -260,8 +265,7 @@ def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
         for k, res in zip(slots, BatchSimulation(cells).run_isolated()
                           if cells else ()):
             outcomes[k] = res
-    dt = (time.perf_counter() - t0) / len(jobs)
-    return outcomes, dt
+    return outcomes, time.perf_counter() - t0
 
 
 def _execute_job(job: SweepJob, timeout: float | None = None,
@@ -294,6 +298,8 @@ class SweepStats:
     simulated: int = 0
     completed: int = 0
     wall_total: float = 0.0               # engine wall-clock over run()s
+    # Wall time per job label.  Cells of a batch shard have no wall of
+    # their own: the shard's wall is kept once, under the shard's label.
     job_walls: dict[str, float] = field(default_factory=dict)
     # Resilience counters (see repro.experiments.resilience).
     retries: int = 0       # failed attempts that were re-run
@@ -411,18 +417,23 @@ class SweepEngine:
 
         done = 0
 
-        def record(job: SweepJob, res: SimResult, dt: float) -> None:
+        def record(job: SweepJob, res: SimResult, dt: float,
+                   shard: str | None = None) -> None:
+            # ``shard`` names the batch shard ``job`` ran in; ``dt`` is
+            # then that shard's wall time, kept once under its label.
             nonlocal done
             done += 1
             results[job] = res
             self.stats.simulated += 1
             self.stats.completed += 1
-            self.stats.job_walls[job.label] = dt
+            if shard is None:
+                self.stats.job_walls[job.label] = dt
             if self.cache is not None:
                 self.cache.put(keys[job], res)
             if self.on_result is not None:
                 self.on_result(job, res, dt)
-            self._say(f"  [{done}/{len(pending)}] {job.label} ({dt:.2f}s)")
+            where = f"{dt:.2f}s" if shard is None else f"{shard}: {dt:.2f}s"
+            self._say(f"  [{done}/{len(pending)}] {job.label} ({where})")
 
         attempts = {job: 0 for job in pending}   # completed tries per job
         failures: dict[SweepJob, JobFailure] = {}
@@ -478,6 +489,8 @@ class SweepEngine:
                   f"{n_shards} lock-step shard(s)")
 
         def harvest(shard, outcomes, dt):
+            label = f"batch shard ({len(shard)} cells from {shard[0].label})"
+            self.stats.job_walls[label] = dt
             for job, outcome in zip(shard, outcomes):
                 attempts[job] += 1
                 if isinstance(outcome, Exception):
@@ -488,7 +501,7 @@ class SweepEngine:
                     else:
                         self._fail(job, outcome, attempts[job], failures)
                 else:
-                    record(job, outcome, dt)
+                    record(job, outcome, dt, shard=label)
 
         if n_shards == 1:
             shard = shards[0]

@@ -32,7 +32,7 @@ class HealthReport:
 
     ``queued_cells`` counts cells sitting in the fair queue
     (``queued_by_class`` splits them per priority class),
-    ``inflight_cells`` cells currently inside an engine batch, and
+    ``inflight_cells`` cells currently inside an engine step, and
     ``jobs`` every campaign the server knows (live or replayed).
     ``max_queued_cells`` echoes the admission-control limit (``None``
     = unlimited).  ``journal`` is ``None`` when the server runs

@@ -207,19 +207,19 @@ class CampaignSpec:
 
     ``mixes`` are Table II / kvcache family names; the server builds
     them at ``scale`` / ``seed``.  ``engine`` picks the simulation core
-    (``"batch"`` shards whole grids per worker); ``priority`` selects
-    the fair-queue class (``"interactive"`` outweighs ``"batch"`` —
-    see docs/service.md); ``failures`` is the client-visible policy:
-    the server always runs the engine under ``"collect"`` so a stream
-    completes, and a ``"raise"`` client surfaces the first failure
-    locally instead.
+    (default ``"fast"``; engines are bit-exact, so it never changes a
+    row or the cell digest); ``priority`` selects the fair-queue class
+    (``"interactive"`` outweighs ``"batch"`` — see docs/service.md);
+    ``failures`` is the client-visible policy: the server always runs
+    the engine under ``"collect"`` so a stream completes, and a
+    ``"raise"`` client surfaces the first failure locally instead.
     """
 
     mixes: tuple[str, ...]
     designs: tuple[str, ...]
     scale: float = 0.05
     seed: int = 7
-    engine: str = "batch"
+    engine: str = "fast"
     priority: str = "batch"
     failures: str = "collect"
     native_geometry: bool = True

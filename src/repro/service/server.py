@@ -7,8 +7,8 @@ grid cells, deduplicates them against every in-flight and completed
 cell (and, through the content-addressed
 :class:`~repro.experiments.cache.SweepCache`, against previous runs),
 drains them through the weighted-fair
-:class:`~repro.service.queue.FairQueue`, and executes batches on one
-persistent :class:`~repro.experiments.sweep.SweepEngine` — so the
+:class:`~repro.service.queue.FairQueue` one engine step at a time on
+one persistent :class:`~repro.experiments.sweep.SweepEngine` — so the
 retry / timeout / chaos semantics of docs/robustness.md apply to
 served campaigns unchanged.  Results stream back as JSONL
 (:class:`~repro.service.schema.CellRow` per line) over chunked
@@ -26,8 +26,8 @@ rows bit-identical to an uninterrupted run (stream clients resume with
 ``?from=N``).  Admission control (``max_queued_cells`` -> 429 +
 ``Retry-After``) bounds the backlog, and :meth:`CampaignServer.drain`
 implements graceful shutdown: stop admitting, finish the in-flight
-lock-step batch, flush live streams, exit — with data loss (journal
-disabled, or no journal and unfinished work) surfaced through
+step, flush live streams, exit — with data loss (journal disabled, or
+no journal and unfinished work) surfaced through
 :attr:`CampaignServer.data_loss` and a nonzero ``repro serve`` exit.
 
 Endpoints (all JSON, see docs/service.md):
@@ -46,14 +46,15 @@ Endpoints (all JSON, see docs/service.md):
   ``?from=N`` skips the first N rows for resumption), then one final
   ``{"type": "status", ...JobStatus...}`` line.
 
-Concurrency model: one scheduler task serializes engine batches (the
-engine is not reentrant); fairness comes from draining the queue at
-most ``batch_cells`` cells per batch, so an interactive campaign
-arriving behind a heavy one is served in the next batch rather than
-after the whole backlog.  The engine runs in a worker thread
-(``run_in_executor``); per-cell delivery hops back onto the loop via
-``call_soon_threadsafe`` from the engine's ``on_result`` /
-``on_failure`` hooks.
+Concurrency model: one scheduler task serializes engine steps (the
+engine is not reentrant).  Each step hands the engine one cell per
+worker (``engine.workers``), so the fair queue picks again after every
+cell: an interactive campaign arriving behind a heavy one is served in
+the next step rather than after the whole backlog, every row streams
+as soon as its cell finishes, and a drain waits for at most one step.
+The engine runs in a worker thread (``run_in_executor``); per-cell
+delivery hops back onto the loop via ``call_soon_threadsafe`` from the
+engine's ``on_result`` / ``on_failure`` hooks.
 """
 
 from __future__ import annotations
@@ -190,9 +191,10 @@ class CampaignServer:
     one engine serves every campaign, always under
     ``failures="collect"`` so a poisoned cell never kills the stream
     (a ``failures="raise"`` *spec* is surfaced client-side instead).
-    ``batch_cells`` bounds how many queued cells one engine batch may
-    drain (the fairness granularity); ``weights`` overrides the
-    priority-class weights of :data:`~repro.service.queue.PRIORITIES`.
+    ``workers`` also sets the scheduling step: each engine run takes
+    one queued cell per worker, so fairness is decided per cell.
+    ``weights`` overrides the priority-class weights of
+    :data:`~repro.service.queue.PRIORITIES`.
 
     Robustness knobs: ``journal`` (``None`` | directory path |
     :class:`~repro.service.journal.Journal`) enables the write-ahead
@@ -208,15 +210,12 @@ class CampaignServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int | None = None, cache: Any = None,
                  retry: Any = None, job_timeout: float | None = None,
-                 batch_cells: int = 32,
                  weights: dict[str, float] | None = None,
                  journal: Any = None,
                  max_queued_cells: int | None = None,
                  killable: bool = False,
                  telemetry: Telemetry | None = None,
                  progress: Any = None) -> None:
-        if batch_cells < 1:
-            raise ValueError(f"batch_cells must be >= 1, got {batch_cells}")
         if max_queued_cells is not None and max_queued_cells < 1:
             raise ValueError(f"max_queued_cells must be >= 1, "
                              f"got {max_queued_cells}")
@@ -231,7 +230,6 @@ class CampaignServer:
                                   retry=retry, job_timeout=job_timeout,
                                   failures="collect", telemetry=telemetry,
                                   progress=progress)
-        self.batch_cells = batch_cells
         self.max_queued_cells = max_queued_cells
         self.killable = killable
         #: Server incarnation over this journal: 1 on a fresh start,
@@ -240,7 +238,7 @@ class CampaignServer:
         #: the first N incarnations and then lets the run complete.
         self.generation = 1
         #: True once a drain started: no new admissions, scheduler
-        #: winds down after the in-flight batch.
+        #: winds down after the in-flight step.
         self.draining = False
         self._queue = FairQueue(weights)
         self._cells: dict[str, _Cell] = {}
@@ -290,7 +288,7 @@ class CampaignServer:
         """Graceful shutdown: stop admitting, finish in-flight, flush.
 
         New submissions already get 503 once :attr:`draining` is set;
-        the scheduler exits after the batch it is currently running
+        the scheduler exits after the step it is currently running
         (cells still queued stay journaled for the next incarnation),
         live streams are woken to emit their final status line, and
         the listening socket closes once they have flushed.
@@ -468,32 +466,32 @@ class CampaignServer:
     # -- scheduling --------------------------------------------------------
 
     async def _scheduler(self) -> None:
-        """Drain the fair queue, one serialized engine batch at a time."""
+        """Drain the fair queue, one engine step of ``workers`` cells."""
         assert self._wake is not None
         while True:
             await self._wake.wait()
             self._wake.clear()
             while not self.draining:
-                batch: list[_Cell] = []
-                while self._queue and len(batch) < self.batch_cells:
+                step: list[_Cell] = []
+                while self._queue and len(step) < self.engine.workers:
                     cell = self._cells[self._queue.pop()]
                     if cell.state != "queued":
                         continue
                     cell.state = "running"
-                    batch.append(cell)
-                if not batch:
+                    step.append(cell)
+                if not step:
                     break
-                for cell in batch:
+                for cell in step:
                     for camp, _key in cell.waiters:
                         camp.started = True
-                await self._run_batch(batch)
+                await self._run_step(step)
             if self.draining:
                 return
 
-    async def _run_batch(self, batch: list[_Cell]) -> None:
-        """Run one engine batch in a worker thread; deliver per cell."""
+    async def _run_step(self, step: list[_Cell]) -> None:
+        """Run one engine step in a worker thread; deliver per cell."""
         loop = asyncio.get_running_loop()
-        by_job = {cell.job: cell for cell in batch}
+        by_job = {cell.job: cell for cell in step}
 
         def on_result(job: SweepJob, res: Any, dt: float) -> None:
             # Engine thread -> loop thread; dt == 0.0 marks a cache
@@ -510,7 +508,7 @@ class CampaignServer:
         self.engine.on_failure = on_failure
         try:
             report = await loop.run_in_executor(
-                None, self.engine.run, [cell.job for cell in batch])
+                None, self.engine.run, [cell.job for cell in step])
         finally:
             self.engine.on_result = None
             self.engine.on_failure = None
@@ -778,7 +776,7 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
     (``killable`` defaults to True here — this is the dedicated server
     process the ``kill`` fault point may crash).  SIGTERM / SIGINT
     trigger a graceful drain: stop admitting, finish the in-flight
-    batch, flush streams, close.  Returns the process exit code —
+    step, flush streams, close.  Returns the process exit code —
     nonzero only when shutting down lost accepted state
     (:attr:`CampaignServer.data_loss`).
     """
@@ -807,7 +805,7 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                                return_when=asyncio.FIRST_COMPLETED)
             if interrupted.is_set():
                 print("repro service draining (finishing in-flight "
-                      "batches)...", flush=True)
+                      "cells)...", flush=True)
             await server.drain()
         finally:
             for task in waiters:
@@ -881,7 +879,7 @@ class ServiceHandle:
                 warnings.warn(
                     f"campaign server thread {self.thread.name!r} did "
                     f"not stop within {timeout:.0f}s; leaking a daemon "
-                    f"thread (in-flight engine batch still running?)",
+                    f"thread (in-flight engine step still running?)",
                     RuntimeWarning, stacklevel=2)
         return self.stopped_cleanly
 

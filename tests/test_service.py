@@ -334,11 +334,11 @@ def test_health_reports_queue_shape_and_no_journal(service):
 
 
 def test_backpressure_returns_429_while_the_queue_is_full():
-    # One-cell batches + a hang on every first attempt keep cells parked
+    # One-cell steps + a hang on every first attempt keep cells parked
     # in the queue long enough to observe admission control.
     faults.install("hang:1x1@seed=0")
     try:
-        with serve_in_thread(port=0, workers=1, batch_cells=1,
+        with serve_in_thread(port=0, workers=1,
                              max_queued_cells=1) as handle:
             client = ServiceClient(handle.host, handle.port, retry=None)
             first = client.submit(CampaignSpec(
@@ -360,13 +360,39 @@ def test_backpressure_returns_429_while_the_queue_is_full():
         faults.install(None)
 
 
+def test_interactive_campaign_overtakes_a_running_batch_campaign():
+    """An interactive cell submitted mid-campaign is scheduled next.
+
+    The server takes one cell per worker per step, so the fair queue
+    chooses again after every cell: the interactive campaign completes
+    while the batch campaign still has cells left.
+    """
+    heavy = CampaignSpec(mixes=("C1", "C2"),
+                         designs=("waypart", "hydrogen", "profess"),
+                         priority="batch", **TINY)
+    quick = CampaignSpec(mixes=("C3",), designs=("baseline",),
+                         priority="interactive", **TINY)
+    assert len(heavy.cells()) == 8 and len(quick.cells()) == 1
+    with serve_in_thread(port=0, workers=1) as handle:
+        client = ServiceClient(handle.host, handle.port)
+        job = client.submit(heavy)
+        stream = client.stream(job.job_id)
+        heavy_rows = [next(stream)]           # the batch campaign is live
+        rows, final = client.run(quick)
+        mid = client.status(job.job_id)
+        heavy_rows.extend(stream)
+    assert final.ok and len(rows) == 1
+    assert 0 < mid.done_cells < mid.total_cells
+    assert len(heavy_rows) == 8 and client.last_status.state == "done"
+
+
 def test_drain_mid_campaign_then_restart_is_bit_identical(tmp_path):
     """In-process graceful drain: the journal hands off to a restart."""
     spec = CampaignSpec(mixes=("C1", "C2"), designs=("waypart",),
                         engine="fast", **TINY)
     faults.install("hang:1x1@seed=0")         # slow cells: drain lands
     try:                                      # mid-campaign
-        handle = serve_in_thread(port=0, workers=1, batch_cells=1,
+        handle = serve_in_thread(port=0, workers=1,
                                  journal=tmp_path / "journal")
         client = ServiceClient(handle.host, handle.port)
         submitted = client.submit(spec)
@@ -376,6 +402,9 @@ def test_drain_mid_campaign_then_restart_is_bit_identical(tmp_path):
         assert handle.stop() is True
     finally:
         faults.install(None)
+    with Journal(tmp_path / "journal") as journal:
+        done = [r for r in journal.replay() if r["type"] == "done"]
+    assert len(done) < len(spec.cells())      # cells left queued
     recovered = serve_in_thread(port=0, workers=1,
                                 journal=tmp_path / "journal")
     with recovered:

@@ -54,8 +54,8 @@ def clean_faults(monkeypatch):
     faults.install(previous)
 
 
-def start_server(journal: Path, *, fault_spec: str | None = None,
-                 extra: tuple[str, ...] = ()) -> tuple[Any, int]:
+def start_server(journal: Path, *, fault_spec: str | None = None
+                 ) -> tuple[Any, int]:
     """Launch ``repro serve --journal ...`` and wait for its port."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep \
@@ -65,7 +65,7 @@ def start_server(journal: Path, *, fault_spec: str | None = None,
         env[faults.FAULTS_ENV] = fault_spec
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-         "--journal", str(journal), *extra],
+         "--journal", str(journal)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, cwd=str(ROOT))
     line = proc.stdout.readline()             # blocks until the banner
@@ -192,10 +192,9 @@ def test_signal_drains_gracefully_and_restart_serves_identical(
     journal = tmp_path / "journal"
     spec = CampaignSpec(mixes=("C1", "C2"), designs=("waypart",),
                         engine="fast", **TINY)
-    # One-cell batches + first-attempt hangs stretch the campaign so
+    # One-cell steps + first-attempt hangs stretch the campaign so
     # the signal reliably lands mid-flight.
-    proc, port = start_server(journal, fault_spec="hang:1x1@seed=0",
-                              extra=("--batch-cells", "1"))
+    proc, port = start_server(journal, fault_spec="hang:1x1@seed=0")
     client = ServiceClient("127.0.0.1", port)
     submitted = client.submit(spec)
     proc.send_signal(sig)

@@ -4,12 +4,13 @@ import pickle
 
 import pytest
 
+from repro import api
 from repro.config import default_system
 from repro.experiments.cache import SweepCache, resolve_cache, stable_key
 from repro.experiments.runner import compare_designs, corun_slowdowns
 from repro.experiments.sweep import (MixSpec, SweepEngine, SweepJob,
-                                     resolve_workers, sweep_compare,
-                                     sweep_corun)
+                                     freeze_kw, resolve_workers,
+                                     sweep_compare, sweep_corun)
 from repro.traces.mixes import build_mix
 
 # The legacy free functions stay covered here on purpose; the facade has
@@ -243,6 +244,31 @@ def test_stats_reporting():
     assert engine.stats.wall_total > 0
     assert set(engine.stats.job_walls) == {"baseline@C1", "waypart@C1"}
     assert len(engine.stats.slowest(1)) == 1
+
+
+def test_batch_shard_wall_is_recorded_once_under_a_shard_label():
+    res = api.sweep(mixes=["C1", "C2"], designs=("waypart",),
+                    engine="batch", scale=0.02, jobs=1, cache=None)
+    walls = res.stats.job_walls
+    # One lock-step shard ran all four cells: its real wall appears
+    # once, and no cell is credited with a made-up share of it.
+    (label, wall), = walls.items()
+    assert label.startswith("batch shard (4 cells from ")
+    assert 0.0 < wall <= res.stats.wall_total
+    assert res.stats.slowest() == [(label, wall)]
+
+
+def test_batch_shard_on_result_keeps_the_cache_recall_marker(tmp_path):
+    jobs = [job(d, sim_kw=freeze_kw({"engine": "batch"}))
+            for d in ("baseline", "waypart")]
+    dts = []
+    SweepEngine(cache=SweepCache(tmp_path),
+                on_result=lambda j, r, dt: dts.append(dt)).run(jobs)
+    assert len(dts) == 2 and all(dt > 0.0 for dt in dts)   # simulated
+    dts.clear()
+    SweepEngine(cache=SweepCache(tmp_path),
+                on_result=lambda j, r, dt: dts.append(dt)).run(jobs)
+    assert dts == [0.0, 0.0]                                # recalled
 
 
 def test_progress_callback_emits_lines():
