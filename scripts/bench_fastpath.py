@@ -22,6 +22,11 @@ Modes:
   runtime; run it with ``--update`` when an engine changes.
 * ``--smoke`` (``smoke`` record) — two mixes x one design at tiny
   scale; seconds of runtime.
+
+The fast engine's timing records which event loop ran its cells
+(``engines.fast.core``: ``"c"`` for the compiled core of
+:mod:`repro.engine.ccore`, ``"python"`` without a compiler); the core
+is built and loaded before any timed region.
 * ``--check`` — regression gate: after timing, compare the measured
   speedups against the committed record *at equal workload* (same
   mixes/designs/scale/seed/repeat floor) and fail if any engine's
@@ -53,7 +58,9 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.config import default_system  # noqa: E402
+from repro.engine import ccore  # noqa: E402
 from repro.engine.batch import BatchCell, BatchSimulation  # noqa: E402
+from repro.engine.fastpath import FastSimulation  # noqa: E402
 from repro.engine.simulator import simulate  # noqa: E402
 from repro.experiments.designs import (FIG5_DESIGNS,  # noqa: E402
                                        design_config, make_policy)
@@ -73,11 +80,12 @@ def run_workload(engine, designs, mixes, cfg, repeat):
     starts; the measured region contains only simulator construction
     and the run itself.  ``engine="batch"`` runs the whole grid as one
     lock-step :class:`BatchSimulation`; the other engines dispatch one
-    :func:`simulate` per cell.  ``timings`` is ``{"min", "median",
-    "spread"}`` over the repeats.
+    simulation per cell.  ``timings`` is ``{"min", "median", "spread"}``
+    over the repeats, plus, for the fast engine, ``"core"``: the event
+    loop its cells ran on (``"c"``, ``"python"`` or ``"mixed"``).
     """
     cfgs = {d: design_config(d, cfg) for d in designs}
-    times, results = [], {}
+    times, results, cores = [], {}, set()
     for _ in range(repeat):
         cells = [(design, mix, cfgs[design], make_policy(design))
                  for mix in mixes for design in designs]
@@ -88,15 +96,25 @@ def run_workload(engine, designs, mixes, cfg, repeat):
             times.append(time.perf_counter() - t0)
             for (design, mix, _, _), res in zip(cells, out):
                 results[f"{design}/{mix.name}"] = res
+        elif engine == "fast":
+            t0 = time.perf_counter()
+            for design, mix, c, pol in cells:
+                sim = FastSimulation(c, pol, mix)
+                results[f"{design}/{mix.name}"] = sim.run()
+                cores.add(sim.core)
+            times.append(time.perf_counter() - t0)
         else:
             t0 = time.perf_counter()
             for design, mix, c, pol in cells:
                 res = simulate(c, pol, mix, engine=engine)
                 results[f"{design}/{mix.name}"] = res
             times.append(time.perf_counter() - t0)
-    return {"min": round(min(times), 3),
-            "median": round(statistics.median(times), 3),
-            "spread": round(max(times) - min(times), 3)}, results
+    timings = {"min": round(min(times), 3),
+               "median": round(statistics.median(times), 3),
+               "spread": round(max(times) - min(times), 3)}
+    if cores:
+        timings["core"] = cores.pop() if len(cores) == 1 else "mixed"
+    return timings, results
 
 
 def check_regression(record, committed, tolerance):
@@ -161,6 +179,8 @@ def main(argv=None):
 
     cfg = default_system()
     built = [build_mix(m, scale=scale, seed=args.seed) for m in mixes]
+    # Build/load the compiled core outside every timed region.
+    core_status = ccore.status()
     timings, by_engine = {}, {}
     for engine in ("reference", "fast", "batch"):
         timings[engine], by_engine[engine] = run_workload(
@@ -188,7 +208,11 @@ def main(argv=None):
           f"(x{record['speedup_fast']:.2f}), "
           f"batch {timings['batch']['min']:.2f}s "
           f"(x{record['speedup_batch']:.2f}), "
-          f"equivalent={record['equivalent']}")
+          f"equivalent={record['equivalent']}, "
+          f"fast core={timings['fast']['core']}")
+    if core_status["error"]:
+        print(f"bench_fastpath: compiled core unavailable: "
+              f"{core_status['error']}")
 
     status = 0
     if mismatched:

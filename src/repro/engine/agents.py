@@ -51,9 +51,7 @@ class TraceAgent:
         self.mlp = mlp
         self.eq = eq
         self.submit = submit
-        # Plain Python lists: element access is several times faster than
-        # NumPy scalar indexing on this per-reference hot path.
-        self._addrs, self._writes, self._gaps = self._trace_lists(trace)
+        self._bind_trace(trace)
         self._n = len(trace)
         self.idx = 0
         self.inflight = 0
@@ -82,15 +80,18 @@ class TraceAgent:
         self._warm_instr = (float(np_sum(trace.gaps[:self.warmup_refs]))
                             + self.warmup_refs) * instr_scale
 
-    def _trace_lists(self, trace: Trace) -> tuple[list, list, list]:
-        """Per-reference (addrs, writes, gaps) columns as plain lists.
+    def _bind_trace(self, trace: Trace) -> None:
+        """Bind the per-reference (addrs, writes, gaps) columns.
 
-        The fast engines override this to share one
+        Plain Python lists: element access is several times faster than
+        NumPy scalar indexing on this per-reference hot path.  The fast
+        engines override this to share one
         :class:`~repro.traces.base.TraceColumns` decode across every
         cell replaying the trace; the reference agent decodes privately.
         """
-        return (trace.addrs.tolist(), trace.writes.tolist(),
-                trace.gaps.tolist())
+        self._addrs = trace.addrs.tolist()
+        self._writes = trace.writes.tolist()
+        self._gaps = trace.gaps.tolist()
 
     # -- lifecycle ----------------------------------------------------------
 

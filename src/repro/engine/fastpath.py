@@ -11,9 +11,10 @@ RNG draws are identical — while removing the per-access recomputation:
 * **Shared SoA trace decode** — ``addr // block`` and
   ``block % num_sets`` are precomputed for the whole trace in one
   vectorized pass and memoized per (trace, geometry) on the trace
-  itself (:meth:`repro.traces.base.Trace.columns`), so a sweep
-  replaying one mix under many designs decodes each trace once, not
-  once per cell.
+  itself (:meth:`repro.traces.base.Trace.columns`); the sweep engine
+  hands consecutive cells of one mix spec the same built mix, so a
+  sweep replaying one mix under many designs decodes each trace once,
+  not once per cell.
 * **Lazy channel releases** — the reference schedules a bus-release
   event for *every* transfer; most find an empty queue and are pure
   no-ops.  The fast channel reserves the release's sequence number
@@ -39,6 +40,16 @@ RNG draws are identical — while removing the per-access recomputation:
 Serializing work — epoch/faucet/phase ticks, reconfigurations, token
 accounting, policy adaptation — still runs through the scalar event
 core, exactly as the reference does.
+
+**Compiled event core.**  When every decision hook of the controller
+resolves to an inlined mode (the built-in Fig. 5 designs in cache
+mode) and the run is unobserved (no telemetry sink, no sanitizer),
+:class:`FastSimulation` runs the per-access layers above on
+:mod:`repro.engine.ccore` — a C port built with ``gcc`` on the first
+fast simulation and cached per source hash in ``~/.cache/repro/`` —
+and keeps only the ticks in Python.  Any other cell, and every cell on
+a host without a C compiler, runs on the Python loop of this module;
+:attr:`FastSimulation.core` records which one ran.
 
 **Exactness guarantee:** policy *decisions* are only inlined when the
 policy inherits the known base implementation (checked by method
@@ -71,6 +82,7 @@ from repro.hybrid.policies.base import PartitionPolicy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
 from repro.hybrid.policies.profess import P_LEVELS, ProfessPolicy
 from repro.hybrid.policies.waypart import WayPartPolicy
+from repro.hybrid.setassoc import FastStore
 from repro.mem.device import MemoryDevice
 from repro.traces.base import Trace
 
@@ -373,6 +385,24 @@ class _FastDevice(MemoryDevice):
     _channel_cls = FastChannel
 
 
+class _LazyStore(FastStore):
+    """A :class:`FastStore` whose per-set tables are built on first use,
+    so a cell the compiled core runs never allocates them."""
+
+    def _allocate(self) -> None:
+        pass
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in ("_ways", "_index"):
+            raise AttributeError(name)
+        FastStore._allocate(self)
+        return getattr(self, name)
+
+    @property
+    def allocated(self) -> bool:
+        return "_index" in self.__dict__
+
+
 class FastAgent(TraceAgent):
     """Trace agent replaying shared structure-of-arrays trace columns.
 
@@ -383,10 +413,12 @@ class FastAgent(TraceAgent):
     (no per-request ``functools.partial``) and issue timestamps live in
     a flat ring (the outstanding window is at most ``mlp`` wide, so
     ``seq % len`` slots never collide); blocking-model arithmetic is
-    identical to :class:`TraceAgent`.
+    identical to :class:`TraceAgent`.  The plain-list columns and the
+    ring are bound on the Python loop's first use; a cell the compiled
+    core runs reads the NumPy columns (``_cols``) instead.
     """
 
-    __slots__ = ("ctrl", "_blocks", "_sets", "_issue_arr", "_ilen")
+    __slots__ = ("ctrl", "_cols", "_blocks", "_sets", "_issue_arr", "_ilen")
 
     def __init__(self, name: str, trace: Trace, mlp: int, eq: EventQueue,
                  ctrl: "FastHybridController", warmup_frac: float = 0.0,
@@ -394,15 +426,24 @@ class FastAgent(TraceAgent):
         self.ctrl = ctrl
         super().__init__(name, trace, mlp, eq, ctrl.access, warmup_frac,
                          instr_scale=instr_scale)
-        cols = trace.columns(ctrl._block, ctrl._nsets)
+        self._ilen = max(self._n, mlp)
+
+    def _bind_trace(self, trace: Trace) -> None:
+        self._cols = trace.columns(self.ctrl._block, self.ctrl._nsets)
+
+    def __getattr__(self, name: str) -> list:
+        # Only reached while the Python loop's lists are unbound.
+        if name not in ("_addrs", "_writes", "_gaps", "_blocks", "_sets",
+                        "_issue_arr"):
+            raise AttributeError(name)
+        cols = self._cols
+        self._addrs = cols.addr_list
+        self._writes = cols.write_list
+        self._gaps = cols.gap_list
         self._blocks = cols.block_list
         self._sets = cols.set_list
-        self._ilen = max(self._n, mlp)
         self._issue_arr = [0.0] * self._ilen
-
-    def _trace_lists(self, trace: Trace) -> tuple[list, list, list]:
-        cols = trace.columns(self.ctrl._block, self.ctrl._nsets)
-        return cols.addr_list, cols.write_list, cols.gap_list
+        return getattr(self, name)
 
     def _pump(self) -> None:
         eq = self.eq
@@ -462,6 +503,7 @@ class FastHybridController(HybridMemoryController):
     """
 
     _device_cls = _FastDevice
+    _store_cls = _LazyStore
 
     def __init__(self, cfg, eq, stats, policy, telemetry=None) -> None:
         if not hasattr(eq, "cur_seq"):
@@ -550,8 +592,6 @@ class FastHybridController(HybridMemoryController):
         self._static_geometry = bool(getattr(policy, "geometry_static", True))
         self._assoc = cfg.hybrid.assoc
         self._remap_bytes = cfg.hybrid.remap_entry_bytes
-        self._store_ways = self.store._ways
-        self._store_index = self.store._index
         self._agent_cb = FastAgent._on_response
         self._cnt_cpu = self._cnt["cpu"]
         self._cnt_gpu = self._cnt["gpu"]
@@ -594,6 +634,17 @@ class FastHybridController(HybridMemoryController):
         if self._geo_mode == 1:
             self._geo_refresh_keys()
 
+    def __getattr__(self, name: str) -> Any:
+        # The store tables, bound on the Python loop's first access.
+        if name == "_store_ways":
+            value = self.store._ways
+        elif name == "_store_index":
+            value = self.store._index
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
     # -- geometry rows -------------------------------------------------------
 
     def _geo_row(self, set_id: int) -> tuple:
@@ -618,10 +669,15 @@ class FastHybridController(HybridMemoryController):
             self._geo_mode = 0
             self._geo_keys = None
             return
+        self._geo_keys = self._geo_key_array().tolist()
+
+    def _geo_key_array(self) -> np.ndarray:
+        """The mode-1 hash-cons key of every set, as an int64 array."""
+        m = self.policy.map
         assoc = self._assoc
         weights = np.int64(1) << np.arange(assoc, dtype=np.int64)
         bits = m._cpu_mask.astype(np.int64) @ weights
-        self._geo_keys = ((m._chan[:, 0] << np.int64(assoc)) + bits).tolist()
+        return (m._chan[:, 0] << np.int64(assoc)) + bits
 
     def _geo_fill(self, set_id: int) -> tuple:
         mode = self._geo_mode
@@ -916,6 +972,20 @@ class FastSimulation(Simulation):
 
     _eq_cls = FastEventQueue
     _controller_cls = FastHybridController
+
+    #: Which event loop ran the cell: ``"c"`` (the compiled core of
+    #: :mod:`repro.engine.ccore`) or ``"python"``; None before the run.
+    core: str | None = None
+
+    def _drive(self) -> None:
+        from repro.engine import ccore
+        lib = ccore.load() if ccore.eligible(self) else None
+        if lib is None:
+            self.core = "python"
+            super()._drive()
+            return
+        self.core = "c"
+        ccore.CoreRun(self, lib).run()
 
     def _make_agent(self, name: str, trace, mlp: int, warmup_frac: float,
                     instr_scale: float) -> TraceAgent:

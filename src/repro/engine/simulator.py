@@ -301,8 +301,13 @@ class Simulation:
         self.eq.after(ep.epoch_cycles, self._epoch_tick)
         self.eq.after(ep.faucet_cycles, self._faucet_tick)
         self.eq.after(ep.phase_cycles, self._phase_tick)
-        self.eq.run(until=self.max_cycles, stop=self._all_done)
+        self._drive()
         return self._result()
+
+    def _drive(self) -> None:
+        """Run the event loop until every agent has measured its window
+        (the fast engine may hand the loop to its compiled core)."""
+        self.eq.run(until=self.max_cycles, stop=self._all_done)
 
     def _result(self) -> SimResult:
         self.ctrl.flush_stats()

@@ -126,6 +126,31 @@ class MixSpec:
         return mix
 
 
+class MixMemo:
+    """The most recently built mix of one sweep run.
+
+    Consecutive cells of one :class:`MixSpec` — a design grid sweeps
+    every design over each mix in turn — share one built
+    :class:`WorkloadMix`, so its traces are generated and decoded once
+    (the decode is memoized on the traces, see
+    :meth:`repro.traces.base.Trace.columns`).  Holds only the latest
+    mix; the engine drops the memo when its run ends.
+    """
+
+    __slots__ = ("_spec", "_mix")
+
+    def __init__(self) -> None:
+        self._spec: MixSpec | None = None
+        self._mix: WorkloadMix | None = None
+
+    def build(self, spec: MixSpec) -> WorkloadMix:
+        mix = self._mix
+        if mix is None or self._spec != spec:
+            mix = self._mix = spec.build()
+            self._spec = spec
+        return mix
+
+
 def _mix_payload(mix: "MixSpec | WorkloadMix") -> dict:
     """Stable cache-key component identifying a mix.
 
@@ -173,14 +198,20 @@ class SweepJob:
     def label(self) -> str:
         return f"{self.design}@{self.mix_name}"
 
-    def setup(self) -> tuple:
+    def setup(self, mixes: MixMemo | None = None) -> tuple:
         """``(cfg, policy, mix, sim_kw)``, ready for an engine.
 
         Both execution paths start here — :meth:`run` for one cell and
         the lock-step batch shards — so a cell is built the same way
-        whichever engine simulates it.
+        whichever engine simulates it.  ``mixes`` lets consecutive
+        cells of one :class:`MixSpec` share its built mix.
         """
-        mix = self.mix.build() if isinstance(self.mix, MixSpec) else self.mix
+        if not isinstance(self.mix, MixSpec):
+            mix = self.mix
+        elif mixes is not None:
+            mix = mixes.build(self.mix)
+        else:
+            mix = self.mix.build()
         if isinstance(self.design, str):
             policy = make_policy(self.design)
             cfg = design_config(self.design, self.cfg, self.native_geometry)
@@ -188,9 +219,9 @@ class SweepJob:
             policy, cfg = self.design, self.cfg
         return cfg, policy, mix, dict(self.sim_kw)
 
-    def run(self) -> SimResult:
+    def run(self, mixes: MixMemo | None = None) -> SimResult:
         from repro.telemetry import JsonlSink
-        cfg, policy, mix, kw = self.setup()
+        cfg, policy, mix, kw = self.setup(mixes)
         sink = None
         if self.trace_dir:
             sink = JsonlSink(Path(self.trace_dir) / f"{self.label}.jsonl",
@@ -250,11 +281,12 @@ def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
     outcomes: list = [None] * len(jobs)
     cells: list = []
     slots: list[int] = []
+    mixes = MixMemo()
     with time_limit(budget, f"batch shard ({len(jobs)} cells)"):
         for k, (job, attempt) in enumerate(zip(jobs, attempts)):
             try:
                 faults.maybe_fault(job.label, attempt, timeout)
-                cfg, policy, mix, kw = job.setup()
+                cfg, policy, mix, kw = job.setup(mixes)
                 kw.pop("engine", None)
                 cells.append(BatchCell(cfg, policy, mix, **kw))
                 slots.append(k)
@@ -269,20 +301,22 @@ def _execute_batch_shard(jobs: "list[SweepJob]", attempts: "list[int]",
 
 
 def _execute_job(job: SweepJob, timeout: float | None = None,
-                 attempt: int = 1) -> tuple[SimResult, float]:
+                 attempt: int = 1, mixes: MixMemo | None = None
+                 ) -> tuple[SimResult, float]:
     """Worker entry point: run one job, measuring its wall time.
 
     ``timeout`` bounds the job's wall clock (``JobTimeout`` on overrun);
     ``attempt`` is the 1-based try number, consumed only by the fault
     injector so a retried attempt deterministically clears (or keeps
-    hitting) an injected fault.
+    hitting) an injected fault.  ``mixes`` is the serial path's
+    :class:`MixMemo`.
     """
     t0 = time.perf_counter()
     with time_limit(timeout, job.label):
         # Inside the guard: an injected hang must be interruptible by the
         # timeout exactly like a genuine in-job hang.
         faults.maybe_fault(job.label, attempt, timeout)
-        res = job.run()
+        res = job.run(mixes)
     return res, time.perf_counter() - t0
 
 
@@ -546,12 +580,14 @@ class SweepEngine:
 
     def _run_serial(self, queue, attempts, failures, counters,
                     record) -> None:
-        """In-process execution with the same retry/failure semantics."""
+        """In-process execution with the same retry/failure semantics;
+        consecutive jobs of one mix spec share its built mix."""
+        mixes = MixMemo()
         for job in queue:
             while True:
                 try:
                     res, dt = _execute_job(job, self.job_timeout,
-                                           attempts[job] + 1)
+                                           attempts[job] + 1, mixes)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:

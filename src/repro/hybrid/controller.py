@@ -30,16 +30,19 @@ from repro.hybrid.policies.base import PartitionPolicy
 from repro.mem.device import MemoryDevice
 from repro.telemetry import NULL_SINK, Telemetry
 
-_CLASS_KEYS = ("accesses", "remap_fills", "fast_hits", "fast_misses",
-               "migrations", "migration_tokens", "bypasses", "queue_bypasses",
-               "evictions", "writebacks")
+#: Per-class access counters, flushed as ``<class>.<key>`` stats.
+CLASS_KEYS = ("accesses", "remap_fills", "fast_hits", "fast_misses",
+              "migrations", "migration_tokens", "bypasses", "queue_bypasses",
+              "evictions", "writebacks")
 
 
 class HybridMemoryController:
     """Two-tier hybrid memory behind the LLC."""
 
-    #: Device implementation; the fast engine substitutes its own.
+    #: Device and tag-store implementations; the fast engine
+    #: substitutes its own.
     _device_cls: type = MemoryDevice
+    _store_cls: type = FastStore
 
     def __init__(self, cfg: SystemConfig, eq: EventQueue, stats: Stats,
                  policy: PartitionPolicy,
@@ -52,7 +55,7 @@ class HybridMemoryController:
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         self.fast = self._device_cls(cfg.fast, eq, stats, "fast")
         self.slow = self._device_cls(cfg.slow, eq, stats, "slow")
-        self.store = FastStore(cfg.num_sets, cfg.hybrid.assoc)
+        self.store = self._store_cls(cfg.num_sets, cfg.hybrid.assoc)
         self.remap = RemapCache(cfg.remap_cache_entries)
         self.policy = policy
         #: "Ideal" ablation switches (Fig. 7): zero-cost fast-memory swaps
@@ -64,8 +67,8 @@ class HybridMemoryController:
         self._flat = cfg.hybrid.mode == "flat"
         self._base_extra = cfg.llc.latency + cfg.hybrid.remap_sram_latency
         self._llc_lat = cfg.llc.latency
-        self._cnt = {"cpu": dict.fromkeys(_CLASS_KEYS, 0),
-                     "gpu": dict.fromkeys(_CLASS_KEYS, 0)}
+        self._cnt = {"cpu": dict.fromkeys(CLASS_KEYS, 0),
+                     "gpu": dict.fromkeys(CLASS_KEYS, 0)}
         self._mig_qlimit = cfg.hybrid.migrate_queue_limit
         # Direct channel references: skip the MemoryDevice indirection on
         # the per-access hot path.

@@ -25,9 +25,14 @@ class FastStore:
             raise ValueError("num_sets and assoc must be >= 1")
         self.num_sets = num_sets
         self.assoc = assoc
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """Build the per-set way and index tables, every set empty."""
         self._ways: list[list[list | None]] = [
-            [None] * assoc for _ in range(num_sets)]
-        self._index: list[dict[int, int]] = [dict() for _ in range(num_sets)]
+            [None] * self.assoc for _ in range(self.num_sets)]
+        self._index: list[dict[int, int]] = [
+            dict() for _ in range(self.num_sets)]
 
     # -- lookups -------------------------------------------------------------
 

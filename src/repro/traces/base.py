@@ -74,8 +74,9 @@ class TraceColumns:
     — decodes it a single time instead of once per cell.  The
     ``*_list`` twins are plain-list views of the same columns for the
     CPython interpreter loops, where scalar list indexing beats NumPy
-    scalar indexing several-fold; a compiled kernel (numba) consumes
-    the NumPy buffers directly.
+    scalar indexing several-fold; they are built together on first
+    use, since compiled kernels (the fast engine's C core, numba)
+    consume the NumPy buffers directly.
     """
 
     __slots__ = ("addr", "is_write", "gap", "block", "set_id",
@@ -89,11 +90,17 @@ class TraceColumns:
         self.gap = trace.gaps
         self.block = trace.addrs // block_bytes
         self.set_id = self.block % num_sets
+
+    def __getattr__(self, name: str) -> list:
+        # Only reached while the plain-list twins are unbuilt.
+        if not name.endswith("_list") or name not in TraceColumns.__slots__:
+            raise AttributeError(name)
         self.addr_list = self.addr.tolist()
         self.write_list = self.is_write.tolist()
         self.gap_list = self.gap.tolist()
         self.block_list = self.block.tolist()
         self.set_list = self.set_id.tolist()
+        return getattr(self, name)
 
 
 class Trace:

@@ -9,6 +9,9 @@ subclass that forces every delegate fallback, and the same contract is
 enforced for the lock-step batch engine: mixed cell shapes sharing one
 :class:`~repro.engine.batch.BatchSimulation`, warmup-boundary variants,
 single-cell batch == fastpath, and the numba-absent kernel fallback.
+Every fast-engine case runs twice: on the compiled event core
+(:mod:`repro.engine.ccore`) where the cell is eligible, and with the
+core forced off, on the Python event loop.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import types
 import pytest
 
 from repro.config import default_system
+from repro.engine import ccore
 from repro.engine.batch import BatchCell, BatchSimulation
 from repro.engine.fastpath import FastSimulation
 from repro.engine.simulator import Simulation, simulate
@@ -33,32 +37,88 @@ TINY = dict(cpu_refs=1500, gpu_refs=7000)
 #: hooks, HAShCache chaining + alternate sets, ProFess probabilistic
 #: migration, WayPart geometry, and Hydrogen's decoupled map + tokens.
 DESIGNS = ("baseline", "hashcache", "profess", "waypart",
-           "hydrogen-dp", "hydrogen")
+           "hydrogen-dp", "hydrogen-dp-token", "hydrogen")
+
+
+def run_fast(cfg, make, mix, **kw):
+    """Fast-engine results of one cell: ``{"c": ..., "python": ...}``.
+
+    The first runs wherever the engine puts the cell (the compiled core
+    when the cell is eligible and the core loads), the second with the
+    core forced off.
+    """
+    sim = FastSimulation(cfg, make(), mix, **kw)
+    expect = ("c" if ccore.eligible(sim) and ccore.load() is not None
+              else "python")
+    on = sim.run()
+    assert sim.core == expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ccore, "_DISABLED", True)
+        sim = FastSimulation(cfg, make(), mix, **kw)
+        off = sim.run()
+    assert sim.core == "python"
+    return {"c": on, "python": off}
 
 
 def run_engines(design, mix_name="C1", seed=7, sim_kw=None, **mix_kw):
-    """(reference, fast, batch) results of one cell, same inputs."""
+    """(reference, fast results by core, batch) of one cell."""
     mix = build_mix(mix_name, seed=seed, **{**TINY, **mix_kw})
     cfg = design_config(design, default_system())
     kw = sim_kw or {}
     ref = Simulation(cfg, make_policy(design), mix, **kw).run()
-    fast = FastSimulation(cfg, make_policy(design), mix, **kw).run()
+    fast = run_fast(cfg, lambda: make_policy(design), mix, **kw)
     batch = BatchCell(cfg, make_policy(design), mix, **kw).run()
     return ref, fast, batch
+
+
+def assert_fast(fast, ref):
+    for core, res in fast.items():
+        assert res == ref, f"fast engine ({core} core) differs"
 
 
 @pytest.mark.parametrize("design", DESIGNS)
 def test_bit_exact_per_design(design):
     ref, fast, batch = run_engines(design)
-    assert fast == ref
+    assert_fast(fast, ref)
     assert batch == ref
 
 
 @pytest.mark.parametrize("mix_name", ["C2", "C5", "C7", "C10"])
 def test_bit_exact_across_mixes(mix_name):
     ref, fast, batch = run_engines("hydrogen", mix_name=mix_name)
-    assert fast == ref
+    assert_fast(fast, ref)
     assert batch == ref
+
+
+def test_core_eligibility():
+    """The Fig. 5 designs take the compiled core; delegate policies,
+    custom subclasses and observed runs stay on the Python loop."""
+    from repro.telemetry import EpochRecorder
+    mix = build_mix("C1", seed=7, **TINY)
+    for design in DESIGNS:
+        cfg = design_config(design, default_system())
+        assert ccore.eligible(FastSimulation(cfg, make_policy(design), mix))
+    for design in KV_DESIGNS:
+        cfg = design_config(design, default_system())
+        assert not ccore.eligible(
+            FastSimulation(cfg, make_policy(design), mix))
+    cfg = design_config("hashcache", default_system())
+    assert not ccore.eligible(FastSimulation(cfg, ChattyHAShCache(), mix))
+    cfg = design_config("hydrogen", default_system())
+    assert not ccore.eligible(FastSimulation(
+        cfg, make_policy("hydrogen"), mix, telemetry=EpochRecorder()))
+
+
+def test_bit_exact_long_cell_reconfigures_and_swaps():
+    """A cell long enough for the tuner to reconfigure and for fast
+    swaps to fire, so the core's tick hand-offs and geometry reloads
+    are exercised."""
+    mix = build_mix("C3", seed=7, scale=0.2)
+    cfg = design_config("hydrogen", default_system())
+    ref = Simulation(cfg, make_policy("hydrogen"), mix).run()
+    assert ref.stats["reconfig.count"] > 0
+    assert ref.stats["swap.count"] > 0
+    assert_fast(run_fast(cfg, lambda: make_policy("hydrogen"), mix), ref)
 
 
 #: The ported KV-cache placement baselines (repro.hybrid.policies.llm):
@@ -70,21 +130,21 @@ KV_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru")
 @pytest.mark.parametrize("design", KV_DESIGNS + ("hydrogen", "baseline"))
 def test_bit_exact_kvcache_mix(design):
     ref, fast, batch = run_engines(design, mix_name="kvcache")
-    assert fast == ref
+    assert_fast(fast, ref)
     assert batch == ref
 
 
 def test_bit_exact_kvcache_variants():
     for mix_name in ("kvcache-prefill", "kvcache-batch"):
         ref, fast, batch = run_engines("kv-windowpin", mix_name=mix_name)
-        assert fast == ref
+        assert_fast(fast, ref)
         assert batch == ref
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_bit_exact_across_seeds(seed):
     ref, fast, batch = run_engines("profess", seed=seed)
-    assert fast == ref
+    assert_fast(fast, ref)
     assert batch == ref
 
 
@@ -111,8 +171,7 @@ def test_bit_exact_custom_policy_delegate_paths():
     mix = build_mix("C1", seed=7, **TINY)
     cfg = design_config("hashcache", default_system())
     ref = Simulation(cfg, ChattyHAShCache(), mix).run()
-    fast = FastSimulation(cfg, ChattyHAShCache(), mix).run()
-    assert fast == ref
+    assert_fast(run_fast(cfg, ChattyHAShCache, mix), ref)
 
 
 def test_engine_kwarg_selects_fastpath(monkeypatch):
@@ -159,19 +218,20 @@ def test_batch_mixed_cells_one_lockstep_batch():
 ])
 def test_batch_warmup_boundaries(warmups):
     ref, fast, batch = run_engines("hydrogen", sim_kw=warmups)
-    assert fast == ref
+    assert_fast(fast, ref)
     assert batch == ref
 
 
 def test_batch_single_cell_equals_fastpath():
     mix = build_mix("C1", seed=7, **TINY)
     cfg = design_config("hydrogen-dp", default_system())
-    fast = FastSimulation(cfg, make_policy("hydrogen-dp"), mix).run()
+    fast = run_fast(cfg, lambda: make_policy("hydrogen-dp"), mix)
     solo = BatchCell(cfg, make_policy("hydrogen-dp"), mix).run()
     via_engine = simulate(cfg, make_policy("hydrogen-dp"), mix,
                           engine="batch")
-    assert solo == fast
-    assert via_engine == fast
+    for res in fast.values():
+        assert solo == res
+        assert via_engine == res
 
 
 def test_batch_custom_policy_delegate_paths():
