@@ -20,8 +20,10 @@ Modes:
 * default (``fig5`` record) — the ``bench_fig5_overall.py`` workload:
   all 12 mixes x the Fig. 5 design set at scale 0.4.  Minutes of
   runtime; run it with ``--update`` when an engine changes.
-* ``--smoke`` (``smoke`` record) — two mixes x one design at tiny
-  scale; seconds of runtime.
+* ``--smoke`` (``smoke`` and ``smoke_kv`` records) — two Table II mixes
+  x Hydrogen, and the ``kvcache`` mix x the three ``kv-*`` designs
+  (whose migration gates the compiled core calls back into Python), at
+  tiny scale; seconds of runtime.
 
 The fast engine's timing records which event loop ran its cells
 (``engines.fast.core``: ``"c"`` for the compiled core of
@@ -67,6 +69,9 @@ from repro.experiments.designs import (FIG5_DESIGNS,  # noqa: E402
 from repro.traces.mixes import ALL_MIXES, build_mix  # noqa: E402
 
 OUT = REPO / "BENCH_fastpath.json"
+
+#: The KV-cache placement designs of the ``smoke_kv`` record.
+KV_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru")
 
 #: Record fields that define "the same workload" for ``--check``.
 WORKLOAD_KEYS = ("mixes", "designs", "scale", "seed")
@@ -170,17 +175,29 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.smoke:
-        record_key, mixes, designs = "smoke", ["C1", "C5"], ("hydrogen",)
         scale = 0.05 if args.scale is None else args.scale
+        workloads = [("smoke", ["C1", "C5"], ("hydrogen",)),
+                     ("smoke_kv", ["kvcache"], KV_DESIGNS)]
     else:
-        record_key, mixes = "fig5", list(ALL_MIXES)
-        designs = FIG5_DESIGNS
         scale = 0.4 if args.scale is None else args.scale
+        workloads = [("fig5", list(ALL_MIXES), FIG5_DESIGNS)]
 
-    cfg = default_system()
-    built = [build_mix(m, scale=scale, seed=args.seed) for m in mixes]
     # Build/load the compiled core outside every timed region.
     core_status = ccore.status()
+    if core_status["error"]:
+        print(f"bench_fastpath: compiled core unavailable: "
+              f"{core_status['error']}")
+    status = 0
+    for record_key, mixes, designs in workloads:
+        status |= bench(record_key, mixes, designs, scale, args)
+    return status
+
+
+def bench(record_key, mixes, designs, scale, args):
+    """Time, compare and (``--check``/``--update``) record one workload;
+    returns the exit status."""
+    cfg = default_system()
+    built = [build_mix(m, scale=scale, seed=args.seed) for m in mixes]
     timings, by_engine = {}, {}
     for engine in ("reference", "fast", "batch"):
         timings[engine], by_engine[engine] = run_workload(
@@ -210,9 +227,6 @@ def main(argv=None):
           f"(x{record['speedup_batch']:.2f}), "
           f"equivalent={record['equivalent']}, "
           f"fast core={timings['fast']['core']}")
-    if core_status["error"]:
-        print(f"bench_fastpath: compiled core unavailable: "
-              f"{core_status['error']}")
 
     status = 0
     if mismatched:

@@ -17,8 +17,9 @@ PASS/FAIL/SKIP summary:
   grid bit-identical to the fault-free run (``repro sweep --chaos``,
   docs/robustness.md);
 * ``kvcache`` — LLM workload-family smoke: the KV-cache mix compares
-  the ported placement baselines against Hydrogen on the lock-step
-  batch engine (docs/workloads.md);
+  the ported placement baselines against Hydrogen on the fast engine,
+  whose compiled core calls the ``kv-*`` migration gates back in Python
+  (docs/workloads.md);
 * ``sanitize`` — divergence sanitizer smoke: replay a small mix x
   design matrix on the fast and batch engines with boundary-state
   digests enabled and require zero divergences from the reference
@@ -77,7 +78,7 @@ GATES: dict[str, list[str]] = {
     "kvcache": [sys.executable, "-m", "repro", "compare",
                 "--mix", "kvcache",
                 "--designs", "hydrogen,kv-windowpin,kv-tokenlru",
-                "--engine", "batch", "--scale", "0.05", "--no-cache"],
+                "--engine", "fast", "--scale", "0.05", "--no-cache"],
     "sanitize": [sys.executable, "-m", "repro", "sanitize",
                  "--mix", "C1", "--designs", "hydrogen,waypart",
                  "--engines", "fast,batch", "--scale", "0.02"],

@@ -5,10 +5,13 @@ when every decision hook of its
 :class:`~repro.engine.fastpath.FastHybridController` resolves to an
 inlined mode (:func:`eligible`): the baseline, HAShCache, ProFess,
 WayPart and Hydrogen (DP, DP+Token, Full) designs in cache mode, with
-telemetry and the sanitizer off.  Every other cell — delegate policies
-such as the ``kv-*`` designs, custom policies, traced or sanitized runs,
-flat mode — and every cell on a host without a C compiler runs on the
-Python event loop instead.  Both paths produce bit-identical results.
+telemetry and the sanitizer off.  The ``kv-windowpin``,
+``kv-layersplit`` and ``kv-tokenlru`` designs qualify too: their
+``allow_migration`` stays Python and is called back from C (see
+*Delegate gates*).  Every other cell — other delegate policies, custom
+policies, traced or sanitized runs, flat mode — and every cell on a
+host without a C compiler runs on the Python event loop instead.  Both
+paths produce bit-identical results.
 
 **What C owns.**  ``ccore.c`` is a line-for-line port of the per-access
 layers: the ``(time, seq)`` event heap (same sequence stream, same lazy
@@ -26,6 +29,19 @@ the geometry table is reloaded from the controller's hash-consed rows
 after a generation bump.  The controller's ``store`` and ``remap``
 objects are not mirrored: after a compiled run they still hold their
 pre-run state (the remap-cache hit/miss counters excepted).
+
+**Delegate gates.**  A migration gate on the allowlist (:data:`_GATES`,
+checked by method identity; a subclass overriding ``allow_migration``
+is not on it) is called at the same point, with the same arguments, as
+the Python loop calls it, through one ``ctypes`` callback
+(:func:`_gate_loop`).  The allow-listed gates read only their own
+policy's state, never the controller's ``store``.  An exception raised
+in a gate — a ``SIGALRM`` job timeout included — ends the core run
+after the current event and is re-raised by :meth:`CoreRun.run`.
+While a run is active, the controller's ``occupancy_by_class()`` (read
+by ``kv-tokenlru``'s epoch hook) counts the core's ``TAG``/``EKLASS``
+buffers.  The callback and that hook are dropped when the run ends, so
+no reference cycle keeps the run's buffers alive.
 
 **State and threads.**  All state lives in NumPy buffers owned by one
 :class:`CoreRun`; the C code keeps no static mutable state.  The library
@@ -60,6 +76,8 @@ import numpy as np
 
 from repro.core.tokens import TokenFaucet
 from repro.hybrid.controller import CLASS_KEYS
+from repro.hybrid.policies.llm import (LayerSplitPolicy, TokenLRUPolicy,
+                                       WindowPinPolicy)
 from repro.hybrid.policies.profess import P_LEVELS
 
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
@@ -84,13 +102,13 @@ _INT_FIELDS = (
     "HIT_HOOK", "PICK_MODE", "SWAP_ON", "SWAP_THRESH", "IDEAL_SWAP",
     "IDEAL_RECONFIG", "GEN", "BW", "HAS_FAUCET", "GRANTED", "DENIED",
     "MT_INDEX", "LRU_HEAD", "LRU_TAIL", "LRU_COUNT", "LRU_CAP", "RC_HITS",
-    "RC_MISSES", "LAZY_INV", "SWAPS", "CNT")
+    "RC_MISSES", "LAZY_INV", "SWAPS", "ERR", "CNT")
 #: Buffer addresses, stored in the int table after the scalars.
 _PTR_FIELDS = (
     "AGENT_I", "AGENT_D", "CHAN_I", "CHAN_D", "ROWS", "RING", "HEAP",
     "POOL", "TAG", "DIRTY", "EKLASS", "STAMP", "HITS", "EGEN", "LRU_PREV",
     "LRU_NEXT", "LRU_IN", "ROW_OF_SET", "GCHAN", "GOWNER", "GELIG",
-    "GNELIG", "MT")
+    "GNELIG", "MT", "GATE")
 _DBL_FIELDS = ("NOW", "UNTIL", "BASE_EXTRA", "LLC_LAT", "HC_CHAIN_LAT",
                "HC_TAG_LAT", "TOKENS", "P_CPU", "P_GPU")
 _AGENT_INT = ("KLASS", "MLP", "N", "ILEN", "RING_OFF", "IDX", "INFLIGHT",
@@ -103,10 +121,17 @@ _CHAN_INT = ("PRIO", "RR", "NBANKS", "ROW_BYTES", "ROWS_OFF", "BYTES_READ",
              "S_REL", "REL_PUSHED", "QH0", "QT0", "QN0", "QH1", "QT1", "QN1")
 _CHAN_DBL = ("BUSY", "QUEUE_WAIT", "T_FREE", "BPC", "T_CAS", "T_RCD_CAS",
              "T_RP", "LINK")
-_RETURN_CODES = ("PY", "STOP", "UNTIL", "EMPTY", "GROW", "BUDGET")
+_RETURN_CODES = ("PY", "STOP", "UNTIL", "EMPTY", "GROW", "BUDGET", "ERR")
 _EVENT_KINDS = ("PUMP", "WAKE", "LOOKUP", "RESP", "REL", "PY")
 #: Way-ownership codes; classes are coded cpu=0, gpu=1 throughout.
 _OWNERS = ("cpu", "gpu", "shared")
+#: Delegate migration gates the core calls back into Python.  Each reads
+#: only its own policy's state, never the controller's store or remap
+#: cache, which the core does not mirror.
+_GATES = (WindowPinPolicy.allow_migration, LayerSplitPolicy.allow_migration,
+          TokenLRUPolicy.allow_migration)
+#: C signature of a gate call (see :func:`_gate_loop`).
+_GATE_T = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64)
 
 
 def _index(names: tuple[str, ...]) -> dict[str, int]:
@@ -271,7 +296,8 @@ def status() -> dict[str, Any]:
 def eligible(sim: Any) -> bool:
     """Whether ``sim`` (a fresh FastSimulation) can run on the core.
 
-    Every decision hook must resolve to a mode the C code inlines, and
+    Every decision hook must resolve to a mode the C code inlines (or,
+    for the migration gate, to an allow-listed gate it calls back), and
     the run must be unobserved (no telemetry, no sanitizer) and start
     from a pristine controller.
     """
@@ -286,7 +312,6 @@ def eligible(sim: Any) -> bool:
             or ctrl._flat
             or ctrl._alt_mode not in (0, 2)
             or ctrl._probe_mode not in (0, 2, 4)
-            or ctrl._mig_mode not in (0, 2, 3, 4)
             or ctrl._chan_changed_call
             or ctrl._hit_hook not in (0, 1)
             or ctrl._pick_mode not in (1, 2, 3)
@@ -303,6 +328,8 @@ def eligible(sim: Any) -> bool:
                                    and isinstance(faucet.tokens, float))):
             return False
     if ctrl._mig_mode == 2 and type(policy._rng) is not random.Random:
+        return False
+    if ctrl._mig_mode == 1 and type(policy).allow_migration not in _GATES:
         return False
     store = ctrl.store
     if (getattr(store, "allocated", True) and any(store._index)) \
@@ -334,6 +361,33 @@ def eligible(sim: Any) -> bool:
 
 def _klass(name: str) -> int:
     return 0 if name == "cpu" else 1
+
+
+def _gate_loop(allow: Any, errors: list) -> Any:
+    """``allow`` (a policy's ``allow_migration``) as a generator the core
+    resumes once per gate call, with ``(klass, block, cost, is_write)``
+    packed in one int as ``block << 4 | cost << 2 | is_write << 1 |
+    klass``; it yields 0/1, or -1 after storing an exception in
+    ``errors[0]``.
+
+    A callback that raises is printed and dropped by ctypes, and a
+    pending signal handler (the sweep's ``SIGALRM`` timeout, Ctrl-C)
+    runs when the callback's frame is entered, before any ``try`` of a
+    plain function.  So the callback is this generator's ``send``: it
+    resumes inside the ``try``, and nothing between the handler and the
+    final ``yield -1`` checks for pending signals again.
+    """
+    klasses = ("cpu", "gpu")
+    try:
+        packed = yield 0
+        while True:
+            packed = yield allow(klasses[packed & 1], packed >> 4,
+                                 (packed >> 2) & 3, (packed & 2) != 0)
+    except GeneratorExit:
+        raise
+    except BaseException as exc:  # noqa: ROB01 - re-raised by CoreRun.run
+        errors[0] = exc
+    yield -1
 
 
 class CoreRun:
@@ -681,12 +735,38 @@ class CoreRun:
 
     # -- the loop ----------------------------------------------------------
 
+    def _occupancy(self) -> dict[str, int]:
+        """Valid fast-tier ways by class, counted in the core's store
+        (``occupancy_by_class()`` while the run is active)."""
+        valid = self._keep["TAG"] >= 0
+        gpu = int(np.count_nonzero(self._keep["EKLASS"][valid]))
+        return {"cpu": int(np.count_nonzero(valid)) - gpu, "gpu": gpu}
+
     def run(self) -> None:
         """Drive the simulation to its end (``Simulation.run``'s loop)."""
+        ctrl = self.sim.ctrl
+        errors: list[BaseException | None] = [None]
+        gate = cb = None
+        if ctrl._mig_mode == 1:
+            gate = _gate_loop(self.sim.policy.allow_migration, errors)
+            next(gate)
+            cb = _GATE_T(gate.send)
+            self.I[_PI["GATE"]] = ctypes.cast(cb, ctypes.c_void_p).value
+        ctrl._occ_source = self._occupancy
+        try:
+            self._loop(errors)
+        finally:
+            # Dropped here, so no reference cycle ties the controller
+            # to this run.
+            ctrl._occ_source = None
+            del gate, cb
+
+    def _loop(self, errors: list) -> None:
         sim = self.sim
         run = self.lib.hc_run
         iptr, dptr = self.I.ctypes.data, self.D.ctypes.data
         rc_py, rc_grow, rc_budget = _RC["PY"], _RC["GROW"], _RC["BUDGET"]
+        rc_err = _RC["ERR"]
         while True:
             rc = run(iptr, dptr)
             if rc == rc_py:
@@ -704,6 +784,9 @@ class CoreRun:
                 if (self._int("HEAP_CAP") - self._int("HEAP_N")
                         < self._int("HEAP_NEED")):
                     self._grow("HEAP", "HEAP_CAP", self._ev_size)
+            elif rc == rc_err:
+                exc, errors[0] = errors[0], None
+                raise exc
             elif rc != rc_budget:
                 break
         self._push()

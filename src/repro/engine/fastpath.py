@@ -43,12 +43,15 @@ core, exactly as the reference does.
 
 **Compiled event core.**  When every decision hook of the controller
 resolves to an inlined mode (the built-in Fig. 5 designs in cache
-mode) and the run is unobserved (no telemetry sink, no sanitizer),
-:class:`FastSimulation` runs the per-access layers above on
-:mod:`repro.engine.ccore` — a C port built with ``gcc`` on the first
-fast simulation and cached per source hash in ``~/.cache/repro/`` —
-and keeps only the ticks in Python.  Any other cell, and every cell on
-a host without a C compiler, runs on the Python loop of this module;
+mode) or, for the migration gate, to one of the allow-listed ``kv-*``
+gates the core calls back into Python, and the run is unobserved (no
+telemetry sink, no sanitizer), :class:`FastSimulation` runs the
+per-access layers above on :mod:`repro.engine.ccore` — a C port built
+with ``gcc`` on the first fast simulation and cached per source hash in
+``~/.cache/repro/`` — and keeps only the ticks and those gates in
+Python; :meth:`FastHybridController.occupancy_by_class` then counts
+the core's store.  Any other cell, and every cell on a host without a
+C compiler, runs on the Python loop of this module;
 :attr:`FastSimulation.core` records which one ran.
 
 **Exactness guarantee:** policy *decisions* are only inlined when the
@@ -80,6 +83,7 @@ from repro.engine.stats import Stats
 from repro.hybrid.controller import HybridMemoryController
 from repro.hybrid.policies.base import PartitionPolicy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
+from repro.hybrid.policies.llm import LayerSplitPolicy
 from repro.hybrid.policies.profess import P_LEVELS, ProfessPolicy
 from repro.hybrid.policies.waypart import WayPartPolicy
 from repro.hybrid.setassoc import FastStore
@@ -603,7 +607,8 @@ class FastHybridController(HybridMemoryController):
         #       mask); a reconfiguration only rebuilds the key array
         #       (one vectorized pass), never the rows.
         #   2 = base geometry (baseline/HAShCache/ProFess): the default
-        #       hooks are pure in ``set_id % channels``.
+        #       hooks are pure in ``set_id % channels`` (LayerSplit's
+        #       set-independent owners and eligible ways keep that key).
         #   3 = WayPart: the coupled layout ignores ``set_id`` entirely.
         #   0 = per-set lazy caching (anything else, e.g. SetPartition's
         #       per-set hash), invalidated on generation bumps.
@@ -619,8 +624,10 @@ class FastHybridController(HybridMemoryController):
             self._geo_mode = 1
         elif (self._static_geometry
                 and cls.way_channel is base.way_channel
-                and cls.way_owner is base.way_owner
-                and cls.eligible_ways is base.eligible_ways):
+                and (cls.way_owner, cls.eligible_ways) in (
+                    (base.way_owner, base.eligible_ways),
+                    (LayerSplitPolicy.way_owner,
+                     LayerSplitPolicy.eligible_ways))):
             self._geo_mode = 2
         elif (self._static_geometry
                 and cls.way_channel is WayPartPolicy.way_channel
@@ -633,6 +640,16 @@ class FastHybridController(HybridMemoryController):
         self._geo_keys: list[int] | None = None
         if self._geo_mode == 1:
             self._geo_refresh_keys()
+
+    #: Answers :meth:`occupancy_by_class` while the compiled core runs
+    #: the cell (the Python ``store`` is stale then); set and cleared by
+    #: :meth:`repro.engine.ccore.CoreRun.run`.
+    _occ_source: Callable[[], dict[str, int]] | None = None
+
+    def occupancy_by_class(self) -> dict[str, int]:
+        if self._occ_source is not None:
+            return self._occ_source()
+        return super().occupancy_by_class()
 
     def __getattr__(self, name: str) -> Any:
         # The store tables, bound on the Python loop's first access.

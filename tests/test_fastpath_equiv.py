@@ -29,6 +29,7 @@ from repro.engine.fastpath import FastSimulation
 from repro.engine.simulator import Simulation, simulate
 from repro.experiments.designs import design_config, make_policy
 from repro.hybrid.policies.hashcache import HAShCachePolicy
+from repro.hybrid.policies.llm import WindowPinPolicy
 from repro.traces.mixes import build_mix
 
 TINY = dict(cpu_refs=1500, gpu_refs=7000)
@@ -91,17 +92,16 @@ def test_bit_exact_across_mixes(mix_name):
 
 
 def test_core_eligibility():
-    """The Fig. 5 designs take the compiled core; delegate policies,
-    custom subclasses and observed runs stay on the Python loop."""
+    """The Fig. 5 and ``kv-*`` designs take the compiled core; other
+    delegate gates (custom subclasses included) and observed runs stay
+    on the Python loop."""
     from repro.telemetry import EpochRecorder
     mix = build_mix("C1", seed=7, **TINY)
-    for design in DESIGNS:
+    for design in DESIGNS + KV_DESIGNS:
         cfg = design_config(design, default_system())
         assert ccore.eligible(FastSimulation(cfg, make_policy(design), mix))
-    for design in KV_DESIGNS:
-        cfg = design_config(design, default_system())
-        assert not ccore.eligible(
-            FastSimulation(cfg, make_policy(design), mix))
+    cfg = design_config("kv-windowpin", default_system())
+    assert not ccore.eligible(FastSimulation(cfg, EagerWindowPin(), mix))
     cfg = design_config("hashcache", default_system())
     assert not ccore.eligible(FastSimulation(cfg, ChattyHAShCache(), mix))
     cfg = design_config("hydrogen", default_system())
@@ -122,8 +122,9 @@ def test_bit_exact_long_cell_reconfigures_and_swaps():
 
 
 #: The ported KV-cache placement baselines (repro.hybrid.policies.llm):
-#: every one overrides a hot hook, so the fast/batch engines must take
-#: their delegate-fallback paths and still replay bit-exactly.
+#: every one overrides the migration gate, which the compiled core calls
+#: back into Python and the batch engine delegates; both must still
+#: replay bit-exactly.
 KV_DESIGNS = ("kv-windowpin", "kv-layersplit", "kv-tokenlru")
 
 
@@ -132,6 +133,17 @@ def test_bit_exact_kvcache_mix(design):
     ref, fast, batch = run_engines(design, mix_name="kvcache")
     assert_fast(fast, ref)
     assert batch == ref
+
+
+def test_bit_exact_pressured_tokenlru():
+    """Occupancy pressure flips kv-tokenlru's gate mid-run; on the core
+    its epoch hook counts the core's store, not the stale Python one."""
+    mix = build_mix("kvcache-prefill", seed=7, scale=0.1)
+    cfg = design_config("kv-tokenlru", default_system())
+    ref = Simulation(cfg, make_policy("kv-tokenlru"), mix).run()
+    assert ref.policy_state["pressured"] is True
+    fast = run_fast(cfg, lambda: make_policy("kv-tokenlru"), mix)
+    assert_fast(fast, ref)
 
 
 def test_bit_exact_kvcache_variants():
@@ -167,11 +179,25 @@ class ChattyHAShCache(HAShCachePolicy):
         return super().pick_insertion(set_id, block, klass)
 
 
+class EagerWindowPin(WindowPinPolicy):
+    """Overrides the allow-listed gate, so the cell stays on Python."""
+
+    name = "eager-windowpin"
+
+    def allow_migration(self, klass, block, cost, is_write):
+        return is_write or super().allow_migration(klass, block, cost,
+                                                   is_write)
+
+
 def test_bit_exact_custom_policy_delegate_paths():
     mix = build_mix("C1", seed=7, **TINY)
     cfg = design_config("hashcache", default_system())
     ref = Simulation(cfg, ChattyHAShCache(), mix).run()
     assert_fast(run_fast(cfg, ChattyHAShCache, mix), ref)
+    mix = build_mix("kvcache", seed=7, **TINY)
+    cfg = design_config("kv-windowpin", default_system())
+    ref = Simulation(cfg, EagerWindowPin(), mix).run()
+    assert_fast(run_fast(cfg, EagerWindowPin, mix), ref)
 
 
 def test_engine_kwarg_selects_fastpath(monkeypatch):
